@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     StepgateError,
 )
-from .linalg import LsFit, fit_least_squares, fit_weighted_least_squares, sum_squared_residuals
+from .linalg import LsFit, fit_least_squares, fit_weighted_least_squares
 from .mfit import (
     MAD_FISHER_FACTOR,
     MFitSummary,
@@ -53,7 +53,6 @@ from .stepper import (
     l2_gate_statistic,
     m_gate_statistic,
     run_stepwise,
-    scan_candidates,
     step_p_value,
 )
 

@@ -17,11 +17,11 @@ from .errors import DomainError, InvalidInputError
 __all__ = ["pchisq", "qchisq", "max_chisq_tail", "gate_threshold"]
 
 
-def _check_df(df):
-    if isinstance(df, bool) or not isinstance(df, (int, np.integer)):
-        raise InvalidInputError(f"df must be a positive integer, got {df!r}")
-    if df < 1:
-        raise InvalidInputError(f"df must be >= 1, got {df}")
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+    if value < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {value}")
 
 
 def pchisq(x, df):
@@ -31,7 +31,7 @@ def pchisq(x, df):
     propagated because a silent NaN here would corrupt every downstream
     P-value.
     """
-    _check_df(df)
+    _check_count("df", df)
     x = float(x)
     if math.isnan(x):
         raise InvalidInputError("pchisq: x is NaN")
@@ -44,7 +44,7 @@ def pchisq(x, df):
 
 def qchisq(p, df):
     """Quantile of chi^2_df: the x with pchisq(x, df) = p, for p in [0, 1)."""
-    _check_df(df)
+    _check_count("df", df)
     p = float(p)
     if math.isnan(p) or p < 0.0 or p >= 1.0:
         raise DomainError(f"qchisq: p must lie in [0, 1), got {p}")
@@ -60,10 +60,7 @@ def max_chisq_tail(x, k0):
     which stays accurate when F(x) is close to 1 and k0 is large; the naive
     power form loses all precision exactly where small P-values live.
     """
-    if isinstance(k0, bool) or not isinstance(k0, (int, np.integer)):
-        raise InvalidInputError(f"k0 must be a positive integer, got {k0!r}")
-    if k0 < 1:
-        raise InvalidInputError(f"k0 must be >= 1, got {k0}")
+    _check_count("k0", k0)
     x = float(x)
     if math.isnan(x):
         raise InvalidInputError("max_chisq_tail: x is NaN")
@@ -83,10 +80,7 @@ def gate_threshold(alpha, k0):
     Solves (1 - alpha)^(1/k0) for the per-variable CDF level; the root is
     taken in log space so alpha near 0 or 1 keeps full precision.
     """
-    if isinstance(k0, bool) or not isinstance(k0, (int, np.integer)):
-        raise InvalidInputError(f"k0 must be a positive integer, got {k0!r}")
-    if k0 < 1:
-        raise InvalidInputError(f"k0 must be >= 1, got {k0}")
+    _check_count("k0", k0)
     alpha = float(alpha)
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise DomainError(f"gate_threshold: alpha must lie in (0, 1), got {alpha}")

@@ -75,17 +75,17 @@ def build_parser():
 
     p = sub.add_parser("select", help="stepwise selection, stop at first gate failure")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_run, exhaustive=False)
 
     p = sub.add_parser("rank", help="rank all covariates (continue past gate failures)")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_rank)
+    p.set_defaults(func=cmd_run, exhaustive=True)
 
     p = sub.add_parser("perturb", help="compare runs on original vs perturbed response")
     _add_run_flags(p)
     p.add_argument("--perturb", type=_perturb_spec, required=True, metavar="INDEX=VALUE",
                    help="1-based response index and replacement value")
-    p.set_defaults(func=cmd_perturb)
+    p.set_defaults(func=cmd_perturb, exhaustive=True)
 
     p = sub.add_parser("simulate", help="Monte Carlo gate diagnostics")
     p.add_argument("--experiment", choices=("null", "noise"), required=True,
@@ -119,7 +119,7 @@ def _load(args, parser):
         parser.error(str(e))  # missing files are usage errors (exit 2)
 
 
-def _config(args, exhaustive):
+def _config(args):
     return GateConfig(
         alpha=args.alpha,
         method=args.method,
@@ -127,7 +127,7 @@ def _config(args, exhaustive):
         intercept=args.intercept,
         standardize=args.standardize,
         max_steps=args.max_steps,
-        exhaustive=exhaustive,
+        exhaustive=args.exhaustive,
         sigma_override=args.sigma,
     )
 
@@ -168,16 +168,9 @@ def _emit_trace(trace, fmt):
         print(_trace_table(trace))
 
 
-def cmd_select(args, parser=None):
+def cmd_run(args, parser=None):
     dataset = _load(args, parser)
-    trace = run_stepwise(dataset, _config(args, exhaustive=False))
-    _emit_trace(trace, args.format)
-    return 0
-
-
-def cmd_rank(args, parser=None):
-    dataset = _load(args, parser)
-    trace = run_stepwise(dataset, _config(args, exhaustive=True))
+    trace = run_stepwise(dataset, _config(args))
     _emit_trace(trace, args.format)
     return 0
 
@@ -198,7 +191,7 @@ def cmd_perturb(args, parser=None):
     dataset = _load(args, parser)
     index, value = args.perturb
     perturbed = perturb_response(dataset, index, value)
-    config = _config(args, exhaustive=True)
+    config = _config(args)
     before = run_stepwise(dataset, config)
     after = run_stepwise(perturbed, config)
     diffs = _order_diff(before, after)
@@ -233,6 +226,8 @@ def cmd_simulate(args, parser=None):
     else:
         if args.k is not None:
             parser.error("the noise experiment appends exactly one column; drop --k")
+        if args.method != "l2":
+            parser.error("the noise experiment measures the l2 statistic; drop --method")
         config = SimConfig(n=args.n, k=1, replications=args.reps,
                            alpha=args.alpha, seed=args.seed, method=args.method)
         report = noise_reduction_distribution(config, np.ones((args.n, 1)))

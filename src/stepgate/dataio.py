@@ -9,6 +9,7 @@ indicator columns. Two datasets ship with the package ("prostate",
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -117,11 +118,15 @@ def load_manifest(path):
 
 def _parse_cell(cell, row_num, col_name):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ParseError(
-            f"row {row_num}, column {col_name!r}: could not parse {cell.strip()!r} as a number"
-        ) from None
+            f"row {row_num}, column {col_name!r}: "
+            f"could not parse {cell.strip()!r} as a finite number"
+        )
+    return value
 
 
 def load_csv(path, manifest):

@@ -12,12 +12,7 @@ import numpy as np
 
 from .errors import DegenerateWeightsError, DimensionError, InvalidInputError
 
-__all__ = [
-    "LsFit",
-    "fit_least_squares",
-    "fit_weighted_least_squares",
-    "sum_squared_residuals",
-]
+__all__ = ["LsFit", "fit_least_squares", "fit_weighted_least_squares"]
 
 RCOND = 1e-12  # relative singular-value cutoff for the rank decision
 
@@ -54,13 +49,6 @@ def _validated(design, response):
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("response contains non-finite values")
     return X, y
-
-
-def sum_squared_residuals(residuals):
-    r = np.asarray(residuals, dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise InvalidInputError("residuals contain non-finite values")
-    return float(r @ r)
 
 
 def fit_least_squares(design, response):

@@ -15,7 +15,7 @@ replication keyed by (seed, replication index), so results are identical
 no matter how replications are scheduled.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,14 +56,11 @@ class SimConfig:
             raise InvalidInputError(f"method must be 'l2' or 'm', got {self.method!r}")
 
     def to_dict(self):
-        return {
-            "n": self.n, "k": self.k, "replications": self.replications,
-            "alpha": self.alpha, "seed": self.seed, "method": self.method,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: d[k] for k in ("n", "k", "replications", "alpha", "seed", "method")})
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -74,21 +71,11 @@ class SimReport:
     replication_count: int
 
     def to_dict(self):
-        return {
-            "inclusion_rate": self.inclusion_rate,
-            "p_value_histogram": list(self.p_value_histogram),
-            "ks_distance_chisq": self.ks_distance_chisq,
-            "replication_count": self.replication_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            inclusion_rate=d["inclusion_rate"],
-            p_value_histogram=tuple(d["p_value_histogram"]),
-            ks_distance_chisq=d["ks_distance_chisq"],
-            replication_count=d["replication_count"],
-        )
+        return cls(**{**d, "p_value_histogram": tuple(d["p_value_histogram"])})
 
 
 def _rep_rng(seed, rep):
@@ -153,8 +140,13 @@ def noise_reduction_distribution(config, k1_design):
     y on k1_design and on [k1_design z], record
     n * (ss_before - ss_after)/ss_before. ks_distance_chisq is the KS
     distance of those statistics to chi-square(1); the per-replication
-    P-value (k0 = 1 tail) feeds the histogram and inclusion rate.
+    P-value (k0 = 1 tail) feeds the histogram and inclusion rate. The law
+    is the least-squares one, so config.method must be "l2".
     """
+    if config.method != "l2":
+        raise InvalidInputError(
+            f"the noise experiment measures the l2 statistic; got method {config.method!r}"
+        )
     X = np.asarray(k1_design, dtype=float)
     if X.ndim != 2 or X.shape[0] != config.n:
         raise InvalidInputError(f"k1_design must be 2-D with {config.n} rows")

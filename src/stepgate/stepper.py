@@ -17,7 +17,7 @@ incumbent fit and one shared sigma. Both reduce to the same quantity for a
 quadratic loss; under the null either is asymptotically chi-square(1).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     StepgateError,
 )
 from .linalg import fit_least_squares
-from .mfit import ScaleState, l1_single_covariate_init, m_fit_fixed_scale, mad_scale
+from .mfit import l1_single_covariate_init, m_fit_fixed_scale, mad_scale
 from .rho import RhoFunction
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "l2_gate_statistic",
     "m_gate_statistic",
     "step_p_value",
-    "scan_candidates",
     "run_stepwise",
 ]
 
@@ -86,29 +85,11 @@ class GateConfig:
             raise InvalidInputError(f"sigma override must be > 0, got {self.sigma_override!r}")
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "method": self.method,
-            "rho": {"family": self.rho.family, "c": self.rho.c},
-            "intercept": self.intercept,
-            "standardize": self.standardize,
-            "max_steps": self.max_steps,
-            "exhaustive": self.exhaustive,
-            "sigma_override": self.sigma_override,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            alpha=d["alpha"],
-            method=d["method"],
-            rho=RhoFunction(d["rho"]["family"], d["rho"]["c"]),
-            intercept=d["intercept"],
-            standardize=d["standardize"],
-            max_steps=d["max_steps"],
-            exhaustive=d["exhaustive"],
-            sigma_override=d.get("sigma_override"),
-        )
+        return cls(**{**d, "rho": RhoFunction(**d["rho"])})
 
 
 @dataclass(frozen=True)
@@ -133,25 +114,11 @@ class StepEvaluation:
     included: bool
 
     def to_dict(self):
-        return {
-            "step_index": self.step_index,
-            "chosen_covariate": self.chosen_covariate,
-            "k1": self.k1,
-            "k0": self.k0,
-            "ss_before": self.ss_before,
-            "ss_after": self.ss_after,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "sigma": self.sigma,
-            "included": self.included,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: d[k] for k in (
-            "step_index", "chosen_covariate", "k1", "k0", "ss_before",
-            "ss_after", "statistic", "p_value", "sigma", "included",
-        )})
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -169,21 +136,16 @@ class StepTrace:
     termination_reason: str
 
     def to_dict(self):
-        return {
-            "config": self.config.to_dict(),
-            "evaluations": [e.to_dict() for e in self.evaluations],
-            "selected": list(self.selected),
-            "termination_reason": self.termination_reason,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            config=GateConfig.from_dict(d["config"]),
-            evaluations=tuple(StepEvaluation.from_dict(e) for e in d["evaluations"]),
-            selected=tuple(d["selected"]),
-            termination_reason=d["termination_reason"],
-        )
+        return cls(**{
+            **d,
+            "config": GateConfig.from_dict(d["config"]),
+            "evaluations": tuple(StepEvaluation.from_dict(e) for e in d["evaluations"]),
+            "selected": tuple(d["selected"]),
+        })
 
 
 def l2_gate_statistic(ss_before, ss_after, n):
@@ -252,20 +214,13 @@ def _design(dataset, names, intercept):
     return np.column_stack(cols)
 
 
-def _scan(dataset, included, config, incumbent=None, sigma=None):
+def _scan(dataset, included, config, incumbent, sigma):
     """One candidate scan. Returns (StepEvaluation, winning fit or None).
 
-    incumbent: the current M fit at `sigma`, recomputed if not supplied.
+    included lists the covariates in the model, in entry order; for M,
+    incumbent is the current fit at the shared scale sigma (both None for L2).
     """
-    included = list(included)
-    unknown = [c for c in included if c not in dataset.columns]
-    if unknown:
-        raise InvalidInputError(f"included names not in the dataset: {unknown}")
-    if len(set(included)) != len(included):
-        raise InvalidInputError("included contains duplicates")
     remaining = [c for c in dataset.columns if c not in included]
-    if not remaining:
-        raise InvalidInputError("no excluded covariates remain to scan")
     k1 = len(included)
     k0 = len(remaining)
     y = dataset.y
@@ -288,12 +243,6 @@ def _scan(dataset, included, config, incumbent=None, sigma=None):
         return ev, None
 
     # --- M method
-    if sigma is None:
-        raise InvalidInputError("the M scan needs a scale (ScaleState or sigma)")
-    if incumbent is None:
-        incumbent = m_fit_fixed_scale(
-            _design(dataset, included, config.intercept), y, config.rho, sigma
-        )
     n_base = incumbent.coefficients.shape[0]
     best_name, best_fit, best_obj = None, None, np.inf
     errors = []
@@ -320,17 +269,6 @@ def _scan(dataset, included, config, incumbent=None, sigma=None):
         p_value=p, sigma=sigma, included=bool(p < config.alpha),
     )
     return ev, best_fit
-
-
-def scan_candidates(dataset, included, config, scale=None):
-    """Evaluate every excluded covariate and return the winner's evaluation.
-
-    For the M method a ScaleState (or the stepwise loop) must supply sigma;
-    the incumbent fit and all candidate fits share it.
-    """
-    sigma = scale.sigma if isinstance(scale, ScaleState) else scale
-    ev, _ = _scan(dataset, included, config, incumbent=None, sigma=sigma)
-    return ev
 
 
 def run_stepwise(dataset, config):
@@ -362,16 +300,16 @@ def run_stepwise(dataset, config):
     if k == 0:
         return trace(EXHAUSTED)
 
-    sigma = None
-    incumbent = None
-    noise_floor = 0.0
-    if config.method == "l2":
-        ss_current = fit_least_squares(_design(dataset, [], config.intercept), y).ss
-        # an exact starting fit leaves cancellation noise instead of a zero
-        # ss; anything at the rounding scale of ||y||^2 counts as perfect
-        noise_floor = (dataset.n * np.finfo(float).eps) ** 2 * float(y @ y)
-    else:
-        try:
+    try:
+        sigma = None
+        incumbent = None
+        noise_floor = 0.0
+        if config.method == "l2":
+            ss_current = fit_least_squares(_design(dataset, [], config.intercept), y).ss
+            # an exact starting fit leaves cancellation noise instead of a zero
+            # ss; anything at the rounding scale of ||y||^2 counts as perfect
+            noise_floor = (dataset.n * np.finfo(float).eps) ** 2 * float(y @ y)
+        else:
             if config.sigma_override is not None:
                 sigma = float(config.sigma_override)
             else:
@@ -380,45 +318,37 @@ def run_stepwise(dataset, config):
             incumbent = m_fit_fixed_scale(
                 _design(dataset, [], config.intercept), y, config.rho, sigma
             )
-        except (DegenerateScaleError, DegenerateFitError) as e:
-            e.partial_trace = trace(DEGENERATE)
-            raise
-        ss_current = incumbent.objective
-    ss_start = ss_current
+            ss_current = incumbent.objective
+        ss_start = ss_current
 
-    gate_open = True  # flips at the first failure; selected stops growing then
-    while True:
-        if len(included) >= k:
-            return trace(EXHAUSTED)
-        if len(evaluations) >= max_steps:
-            return trace(MAX_STEPS)
-        if ss_start <= 0.0 or ss_current <= max(noise_floor, DEGENERATE_RATIO * ss_start):
-            return trace(DEGENERATE)
-        try:
-            ev, best_fit = _scan(dataset, included, config, incumbent=incumbent, sigma=sigma)
-        except (DegenerateFitError, DegenerateScaleError) as e:
-            e.partial_trace = trace(DEGENERATE)
-            raise
-        evaluations.append(ev)
-        if ev.included and gate_open:
-            selected.append(ev.chosen_covariate)
-        if not ev.included:
-            gate_open = False
-            if not config.exhaustive:
-                return trace(GATE_FAILED)
-        # advance the model (in exhaustive mode even past failures, so the
-        # remaining covariates keep getting ranked)
-        included.append(ev.chosen_covariate)
-        if config.method == "l2":
-            ss_current = ev.ss_after
-        else:
-            try:
+        gate_open = True  # flips at the first failure; selected stops growing then
+        while True:
+            if len(included) >= k:
+                return trace(EXHAUSTED)
+            if len(evaluations) >= max_steps:
+                return trace(MAX_STEPS)
+            if ss_start <= 0.0 or ss_current <= max(noise_floor, DEGENERATE_RATIO * ss_start):
+                return trace(DEGENERATE)
+            ev, best_fit = _scan(dataset, included, config, incumbent, sigma)
+            evaluations.append(ev)
+            if ev.included and gate_open:
+                selected.append(ev.chosen_covariate)
+            if not ev.included:
+                gate_open = False
+                if not config.exhaustive:
+                    return trace(GATE_FAILED)
+            # advance the model (in exhaustive mode even past failures, so the
+            # remaining covariates keep getting ranked)
+            included.append(ev.chosen_covariate)
+            if config.method == "l2":
+                ss_current = ev.ss_after
+            else:
                 sigma = mad_scale(best_fit.residuals)  # residuals at the OLD sigma
                 incumbent = m_fit_fixed_scale(
                     _design(dataset, included, config.intercept),
                     y, config.rho, sigma, start=best_fit.coefficients,
                 )
-            except (DegenerateScaleError, DegenerateFitError) as e:
-                e.partial_trace = trace(DEGENERATE)
-                raise
-            ss_current = incumbent.objective
+                ss_current = incumbent.objective
+    except (DegenerateScaleError, DegenerateFitError) as e:
+        e.partial_trace = trace(DEGENERATE)
+        raise

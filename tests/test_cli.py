@@ -110,6 +110,7 @@ def test_simulate_noise(capsys):
 @pytest.mark.parametrize("argv", [
     ("simulate", "--experiment", "null", "--n", "25", "--reps", "5"),  # missing --k
     ("simulate", "--experiment", "noise", "--n", "25", "--reps", "5", "--k", "2"),
+    ("simulate", "--experiment", "noise", "--n", "25", "--reps", "5", "--method", "m"),
     ("select", "no_such_file.csv"),
     ("select", "prostate", "--manifest", "whatever.json"),
     ("perturb", "prostate", "--perturb", "first=10"),

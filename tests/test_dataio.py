@@ -127,6 +127,13 @@ def test_csv_bad_cell_reports_location(tmp_path):
         load_csv(path, SIMPLE)
 
 
+@pytest.mark.parametrize("cell", ["nan", " inf"])
+def test_csv_non_finite_cell_reports_location(tmp_path, cell):
+    path = _write(tmp_path / "c.csv", f"y,x\n1,2\n3,{cell}\n")
+    with pytest.raises(ParseError, match=r"row 2, column 'x'.*finite"):
+        load_csv(path, SIMPLE)
+
+
 def test_csv_ragged_row(tmp_path):
     path = _write(tmp_path / "c.csv", "y,x\n1,2,3\n")
     with pytest.raises(ParseError, match="expected 2 fields"):

@@ -18,7 +18,6 @@ from stepgate import (
     InvalidInputError,
     fit_least_squares,
     fit_weighted_least_squares,
-    sum_squared_residuals,
 )
 
 X5 = np.column_stack([np.ones(5), [2.0, 3.0, 5.0, 7.0, 11.0]])
@@ -100,13 +99,6 @@ def test_nonfinite_rejected():
         fit_least_squares(bad, Y5)
     with pytest.raises(InvalidInputError):
         fit_least_squares(X5, np.array([1.0, 2, np.inf, 4, 5]))
-
-
-def test_sum_squared_residuals():
-    assert sum_squared_residuals([3.0, 4.0]) == 25.0
-    assert sum_squared_residuals(np.zeros(10)) == 0.0
-    with pytest.raises(InvalidInputError):
-        sum_squared_residuals([1.0, np.nan])
 
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

@@ -1,6 +1,9 @@
 """Monte Carlo harness tests. Heavy calibration checks live in the
 acceptance suite; here the focus is determinism and report consistency."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,17 @@ def test_config_and_report_roundtrip():
     rep = SimReport(inclusion_rate=0.25, p_value_histogram=(1,) * 20,
                     ks_distance_chisq=0.05, replication_count=20)
     assert SimReport.from_dict(rep.to_dict()) == rep
+
+
+def test_config_and_report_roundtrip_through_json():
+    cfg = SimConfig(n=30, k=3, replications=12, alpha=0.1, seed=9)
+    rep = null_calibration(cfg)
+    for record in (cfg, rep):
+        back = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
+        assert back == record
+        assert list(record.to_dict()) == [f.name for f in dataclasses.fields(record)]
+        with pytest.raises(TypeError):
+            type(record).from_dict({**record.to_dict(), "surplus": 1})
 
 
 def test_replication_streams_are_keyed_not_sequential():
@@ -100,6 +114,12 @@ def test_noise_reduction_design_validation():
     nan[3, 0] = np.nan
     with pytest.raises(InvalidInputError):
         noise_reduction_distribution(cfg, nan)
+
+
+def test_noise_reduction_rejects_the_m_method():
+    cfg = SimConfig(n=40, k=1, replications=5, method="m")
+    with pytest.raises(InvalidInputError, match="l2"):
+        noise_reduction_distribution(cfg, np.ones((40, 1)))
 
 
 def test_noise_reduction_deterministic():

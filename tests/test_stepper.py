@@ -1,5 +1,6 @@
 """Stepwise-loop tests: statistics, gate decisions, termination, traces."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from stepgate import (
     InvalidInputError,
     MFitSummary,
     RhoFunction,
-    ScaleState,
+    StepEvaluation,
     StepTrace,
     fit_least_squares,
     gate_threshold,
@@ -28,7 +29,6 @@ from stepgate import (
     mad_scale,
     max_chisq_tail,
     run_stepwise,
-    scan_candidates,
     step_p_value,
 )
 
@@ -238,6 +238,24 @@ def test_degenerate_scale_attaches_partial_trace():
     assert partial.evaluations == ()
 
 
+def test_degenerate_scale_after_a_step_keeps_its_evaluations():
+    # x1 explains every row but the last five exactly, so once it is in,
+    # the MAD of the residuals is zero and the scale update fails
+    rng = np.random.default_rng(0)
+    n = 30
+    x1 = np.r_[np.zeros(20), np.ones(10)]
+    y = x1.copy()
+    y[-5:] += rng.standard_normal(5)
+    ds = Dataset("step-then-flat", y, {"x1": x1, "x2": rng.standard_normal(n)})
+    with pytest.raises(DegenerateScaleError) as exc:
+        run_stepwise(ds, GateConfig(method="m", sigma_override=1.0))
+    partial = exc.value.partial_trace
+    assert partial.termination_reason == DEGENERATE
+    assert len(partial.evaluations) == 1
+    assert partial.evaluations[0].chosen_covariate == "x1"
+    assert partial.selected == ("x1",)
+
+
 # -------------------------------------------------------------- the M method
 
 def test_m_run_records_sigma_and_l2_does_not():
@@ -275,35 +293,6 @@ def test_m_objective_decreases_along_the_path():
     trace = run_stepwise(ds, GateConfig(method="m", exhaustive=True))
     for ev in trace.evaluations:
         assert ev.ss_after <= ev.ss_before + 1e-12
-
-
-# ------------------------------------------------------------------ scanning
-
-def test_scan_candidates_l2():
-    ds = make_dataset(seed=8)
-    ev = scan_candidates(ds, ["x2"], GateConfig())
-    assert ev.k1 == 1 and ev.k0 == 4
-    assert ev.chosen_covariate != "x2"
-
-
-def test_scan_candidates_m_accepts_scale_state_or_float():
-    ds = make_dataset(seed=8)
-    cfg = GateConfig(method="m")
-    a = scan_candidates(ds, [], cfg, scale=ScaleState(sigma=1.2, source="mad-update"))
-    b = scan_candidates(ds, [], cfg, scale=1.2)
-    assert a == b
-    with pytest.raises(InvalidInputError):
-        scan_candidates(ds, [], cfg)  # M needs a scale
-
-
-def test_scan_candidates_validation():
-    ds = make_dataset()
-    with pytest.raises(InvalidInputError):
-        scan_candidates(ds, ["nope"], GateConfig())
-    with pytest.raises(InvalidInputError):
-        scan_candidates(ds, ["x1", "x1"], GateConfig())
-    with pytest.raises(InvalidInputError):
-        scan_candidates(ds, list(ds.columns), GateConfig())
 
 
 # --------------------------------------------------------------- invariances
@@ -373,6 +362,31 @@ def test_trace_roundtrip_through_json():
     trace = run_stepwise(ds, GateConfig(exhaustive=True))
     back = StepTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
     assert back == trace  # float repr round-trips exactly
+
+
+def test_m_huber_trace_roundtrip_through_json():
+    ds = make_dataset(seed=2)
+    trace = run_stepwise(ds, GateConfig(method="m", rho=RhoFunction("huber", 1.345),
+                                        exhaustive=True))
+    back = StepTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+    assert back == trace
+    assert back.config.rho == RhoFunction("huber", 1.345)
+    assert all(isinstance(e, StepEvaluation) for e in back.evaluations)
+
+
+def test_to_dict_keys_are_the_fields_in_order():
+    trace = run_stepwise(make_dataset(seed=1), GateConfig(method="m", max_steps=1))
+    for record in (trace, trace.config, trace.evaluations[0]):
+        names = [f.name for f in dataclasses.fields(record)]
+        assert list(record.to_dict()) == names
+
+
+def test_from_dict_rejects_unknown_keys():
+    trace = run_stepwise(make_dataset(seed=1), GateConfig(max_steps=1))
+    for cls, d in ((StepTrace, trace.to_dict()), (GateConfig, trace.config.to_dict()),
+                   (StepEvaluation, trace.evaluations[0].to_dict())):
+        with pytest.raises(TypeError):
+            cls.from_dict({**d, "surplus": 1})
 
 
 def test_config_validation():
