@@ -1,6 +1,6 @@
 """Forward stepwise selection behind a noise gate.
 
-Each step fits every excluded covariate on top of the current model and
+Each step scores every excluded covariate on top of the current model and
 takes the one with the smallest residual objective. That candidate enters
 only if its reduction beats, at level alpha, the best reduction k0 pure
 noise columns would have achieved: the step statistic is referred to the
@@ -8,6 +8,13 @@ tail of the maximum of k0 chi-square(1) variables. The same loop drives
 the least-squares and the robust M variants; the M variant additionally
 carries a scale sigma seeded by an L1 fit and refreshed by the MAD of the
 residuals after every inclusion.
+
+The L2 scan fits no candidate. It keeps every covariate column z_j
+residualised against an orthonormal basis of the current design, so that
+adding column j to a model with residual r would drop the residual sum of
+squares by (r.z_j)^2 / (z_j.z_j): one product r @ Z scores all candidates.
+Only the winner is then refitted by least squares, which gives the step's
+reported ss_after. The M scan fits every candidate by IRLS.
 
 Step statistics:
   L2: n * (1 - ss_after/ss_before)
@@ -29,7 +36,7 @@ from .errors import (
     InvalidInputError,
     StepgateError,
 )
-from .linalg import fit_least_squares
+from .linalg import RCOND, fit_least_squares
 from .mfit import l1_single_covariate_init, m_fit_fixed_scale, mad_scale
 from .rho import RhoFunction
 
@@ -55,6 +62,12 @@ DEGENERATE = "degenerate"
 # incumbent objective below this fraction of its starting value counts as a
 # perfect fit (an exact fit leaves rounding noise, never literal zero)
 DEGENERATE_RATIO = 1e-12
+
+# L2 drops within this fraction of the best drop are ties, and ties go to
+# the lowest column index. It sits well above the rounding noise of a
+# projection (about 1e-15 relative), so x and c*x, or any two columns that
+# give the same model, always tie.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -214,11 +227,67 @@ def _design(dataset, names, intercept):
     return np.column_stack(cols)
 
 
-def _scan(dataset, included, config, incumbent, sigma):
-    """One candidate scan. Returns (StepEvaluation, winning fit or None).
+class _Projection:
+    """The L2 incumbent in the form the candidate scan needs.
 
-    included lists the covariates in the model, in entry order; for M,
-    incumbent is the current fit at the shared scale sigma (both None for L2).
+    Z holds every covariate column residualised against an orthonormal
+    basis of the current design (intercept plus included columns), built
+    one Gram-Schmidt step per inclusion; residuals and ss are those of the
+    current least-squares fit.
+    """
+
+    def __init__(self, covariates, names, intercept, start):
+        n, k = covariates.shape
+        self.names = names
+        self.Z = covariates
+        self.norm2 = np.einsum("ij,ij->j", covariates, covariates)
+        self.live = np.ones(k, dtype=bool)
+        self.design_norm2 = 0.0  # squared Frobenius norm of the current design
+        self.residuals, self.ss = start.residuals, start.ss
+        if intercept:
+            self.design_norm2 = float(n)
+            self._project_out(np.full(n, 1.0 / np.sqrt(n)))
+
+    def _project_out(self, q):
+        self.Z -= np.outer(q, q @ self.Z)
+
+    def _in_span(self, zz, norm2):
+        """Whether residual columns of squared norm zz add no rank to the design.
+
+        lstsq drops singular values below RCOND times the largest one, and
+        the Frobenius norm of the design plus the column bounds that from
+        above (norm2 is the squared norm of the column itself).
+        """
+        return zz <= RCOND ** 2 * (self.design_norm2 + norm2)
+
+    def best(self):
+        """The live column with the largest drop; ties go to the lowest index."""
+        zz = np.einsum("ij,ij->j", self.Z, self.Z)
+        rz = self.residuals @ self.Z
+        drop = np.zeros_like(zz)
+        np.divide(rz * rz, zz, out=drop, where=self.live & ~self._in_span(zz, self.norm2))
+        drop[~self.live] = -1.0
+        top = drop.max()
+        return self.names[np.argmax(drop >= top - TIE_RTOL * top)]
+
+    def include(self, name, fit, ss):
+        """Add a column to the design; fit and ss are the new model's."""
+        j = self.names.index(name)
+        z = self.Z[:, j]
+        zz = float(z @ z)
+        if not self._in_span(zz, self.norm2[j]):
+            self._project_out(z / np.sqrt(zz))
+        self.design_norm2 += self.norm2[j]
+        self.live[j] = False
+        self.residuals, self.ss = fit.residuals, ss
+
+
+def _scan(dataset, included, config, incumbent, sigma):
+    """One candidate scan. Returns (StepEvaluation, winning fit).
+
+    included lists the covariates in the model, in entry order. incumbent
+    is the current model: a _Projection for L2; for M, the current fit at
+    the shared scale sigma (sigma is None for L2).
     """
     remaining = [c for c in dataset.columns if c not in included]
     k1 = len(included)
@@ -226,13 +295,10 @@ def _scan(dataset, included, config, incumbent, sigma):
     y = dataset.y
 
     if config.method == "l2":
-        ss_before = fit_least_squares(_design(dataset, included, config.intercept), y).ss
-        best_name, best_ss = None, np.inf
-        for cand in remaining:  # dataset order: ties keep the lowest index
-            ss = fit_least_squares(_design(dataset, included + [cand], config.intercept), y).ss
-            if ss < best_ss:
-                best_name, best_ss = cand, ss
-        ss_after = min(best_ss, ss_before)  # clamp float overshoot on duplicates
+        best_name = incumbent.best()
+        fit = fit_least_squares(_design(dataset, included + [best_name], config.intercept), y)
+        ss_before = incumbent.ss
+        ss_after = min(fit.ss, ss_before)  # clamp float overshoot on duplicates
         statistic = l2_gate_statistic(ss_before, ss_after, dataset.n)
         p = step_p_value(statistic, k0)
         ev = StepEvaluation(
@@ -240,7 +306,7 @@ def _scan(dataset, included, config, incumbent, sigma):
             ss_before=ss_before, ss_after=ss_after, statistic=statistic,
             p_value=p, sigma=None, included=bool(p < config.alpha),
         )
-        return ev, None
+        return ev, fit
 
     # --- M method
     n_base = incumbent.coefficients.shape[0]
@@ -280,8 +346,13 @@ def run_stepwise(dataset, config):
     Degenerate-scale and degenerate-fit errors from the machinery propagate
     with the partial trace attached as exc.partial_trace.
     """
+    # checked once, and before standardizing turns a NaN into "no spread"
+    covariates = dataset.matrix()
+    if not np.all(np.isfinite(covariates)):
+        raise InvalidInputError("covariates contain non-finite values")
     if config.standardize:
         dataset = dataio.standardize_columns(dataset)
+        covariates = dataset.matrix()
     y = dataset.y
     k = dataset.k
     max_steps = k if config.max_steps is None else config.max_steps
@@ -305,7 +376,9 @@ def run_stepwise(dataset, config):
         incumbent = None
         noise_floor = 0.0
         if config.method == "l2":
-            ss_current = fit_least_squares(_design(dataset, [], config.intercept), y).ss
+            start = fit_least_squares(_design(dataset, [], config.intercept), y)
+            incumbent = _Projection(covariates, list(dataset.columns), config.intercept, start)
+            ss_current = start.ss
             # an exact starting fit leaves cancellation noise instead of a zero
             # ss; anything at the rounding scale of ||y||^2 counts as perfect
             noise_floor = (dataset.n * np.finfo(float).eps) ** 2 * float(y @ y)
@@ -342,6 +415,7 @@ def run_stepwise(dataset, config):
             included.append(ev.chosen_covariate)
             if config.method == "l2":
                 ss_current = ev.ss_after
+                incumbent.include(ev.chosen_covariate, best_fit, ss_current)
             else:
                 sigma = mad_scale(best_fit.residuals)  # residuals at the OLD sigma
                 incumbent = m_fit_fixed_scale(

@@ -1,12 +1,14 @@
 """Stepwise-loop tests: statistics, gate decisions, termination, traces."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import stepgate.stepper
 from stepgate import (
     DEGENERATE,
     EXHAUSTED,
@@ -135,21 +137,122 @@ def test_gate_decision_matches_threshold_duality():
 
 
 def test_greedy_choice_is_the_argmin_at_every_step():
-    ds = make_dataset(seed=8)
+    # the reference refits every candidate; the scan must pick the same
+    # argmin, and each step must start from the previous step's ss_after
+    for seed, intercept, (n, k) in itertools.product(
+        (8, 21, 34, 55), (True, False), ((80, 5), (24, 22))
+    ):
+        rng = np.random.default_rng(seed)
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(1, k + 1)}
+        ds = Dataset("greedy", rng.standard_normal(n) + 4.0 * cols["x2"] + 2.0 * cols["x4"], cols)
+        trace = run_stepwise(ds, GateConfig(exhaustive=True, intercept=intercept))
+        assert len(trace.evaluations) == k
+        base = [np.ones(n)] if intercept else []
+        included = []
+        for i, ev in enumerate(trace.evaluations):
+            best = None
+            for cand in ds.columns:
+                if cand in included:
+                    continue
+                X = np.column_stack(base + [ds.columns[c] for c in included + [cand]])
+                ss = fit_least_squares(X, ds.y).ss
+                if best is None or ss < best[1]:
+                    best = (cand, ss)
+            assert ev.chosen_covariate == best[0]
+            assert ev.ss_after == pytest.approx(best[1], rel=1e-10)
+            if i > 0:
+                assert ev.ss_before == trace.evaluations[i - 1].ss_after
+            included.append(ev.chosen_covariate)
+
+
+def test_constant_column_next_to_the_intercept_ranks_last_with_zero_gain():
+    # listed first, so only its zero gain (not the tie rule) can put it last
+    rng = np.random.default_rng(3)
+    n = 40
+    cols = {"const": np.full(n, 2.5), **{f"x{j}": rng.standard_normal(n) for j in range(1, 4)}}
+    ds = Dataset("const", cols["x2"] + rng.standard_normal(n), cols)
     trace = run_stepwise(ds, GateConfig(exhaustive=True))
-    included = []
-    for ev in trace.evaluations:
-        best = None
-        for cand in ds.columns:
-            if cand in included:
-                continue
-            X = np.column_stack([np.ones(ds.n)] + [ds.columns[c] for c in included + [cand]])
-            ss = fit_least_squares(X, ds.y).ss
-            if best is None or ss < best[1]:
-                best = (cand, ss)
-        assert ev.chosen_covariate == best[0]
-        assert ev.ss_after == pytest.approx(best[1], rel=1e-10)
-        included.append(ev.chosen_covariate)
+    assert trace.termination_reason == EXHAUSTED
+    last = trace.evaluations[-1]
+    assert last.chosen_covariate == "const"
+    assert last.ss_after == pytest.approx(last.ss_before, rel=1e-12)
+    assert last.statistic == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_column_in_the_span_of_the_model_never_beats_a_live_column(intercept):
+    # once two of s = a + b, a and b are in, the third adds nothing (the
+    # RCOND rank decision), while near, within 1e-6 of s, still adds something
+    rng = np.random.default_rng(5)
+    n = 50
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    cols = {"s": a + b, "a": a, "b": b, "near": a + b + 1e-6 * rng.standard_normal(n)}
+    ds = Dataset("span", 3.0 * a - 2.0 * b + rng.standard_normal(n), cols)
+    trace = run_stepwise(ds, GateConfig(exhaustive=True, intercept=intercept))
+    chosen = [e.chosen_covariate for e in trace.evaluations]
+    assert chosen[2] == "near"  # after any two of s, a, b
+    assert sorted(chosen[:2] + chosen[3:]) == ["a", "b", "s"]
+    assert trace.evaluations[2].statistic > 1e-6
+    assert trace.evaluations[3].statistic == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_degenerate_when_k_exceeds_n(intercept):
+    rng = np.random.default_rng(0)
+    n, k = 8, 12
+    ds = Dataset("wide", rng.standard_normal(n),
+                 {f"x{j}": rng.standard_normal(n) for j in range(1, k + 1)})
+    trace = run_stepwise(ds, GateConfig(exhaustive=True, intercept=intercept))
+    assert trace.termination_reason == DEGENERATE
+    chosen = [e.chosen_covariate for e in trace.evaluations]
+    assert len(chosen) == n - intercept  # the model interpolates y after that
+    assert len(set(chosen)) == len(chosen)
+    assert trace.evaluations[-1].ss_after < 1e-20 * float(ds.y @ ds.y)
+
+
+@pytest.mark.parametrize("config", [
+    GateConfig(), GateConfig(standardize=True), GateConfig(method="m"),
+    GateConfig(method="m", sigma_override=1.0, exhaustive=True),
+], ids=["l2", "l2-standardize", "m", "m-sigma-override"])
+def test_non_finite_covariate_is_rejected(config):
+    # Dataset itself does not check for finite values; run_stepwise must.
+    # With a fixed sigma no L1 start sees the column, and the M scan used to
+    # skip its failing fit while still counting it in k0.
+    rng = np.random.default_rng(1)
+    cols = {f"x{j}": rng.standard_normal(20) for j in range(1, 4)}
+    cols["x2"][7] = np.nan
+    ds = Dataset("nan", rng.standard_normal(20), cols)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        run_stepwise(ds, config)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("c", [3.0, 1.0 + 1e-14, 0.1, 7.3])
+def test_columns_equal_up_to_scale_tie_to_the_earlier_one(seed, c):
+    # x and c*x give the same model; rounding noise must not split them
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(40)
+    ds = Dataset("scaled", 2.0 * x + rng.standard_normal(40),
+                 {"x1": x, "x2": c * x, "x3": rng.standard_normal(40)})
+    trace = run_stepwise(ds, GateConfig(max_steps=1))
+    assert trace.evaluations[0].chosen_covariate == "x1"
+
+
+@pytest.mark.parametrize("config", [GateConfig(), GateConfig(exhaustive=True),
+                                    GateConfig(exhaustive=True, intercept=False, standardize=True)])
+def test_l2_fits_only_the_start_model_and_each_winner(monkeypatch, config):
+    # the scan scores candidates by projection; a least-squares refit per
+    # candidate would show here as k0 extra calls per step
+    calls = []
+
+    def counting(design, response):
+        calls.append(design.shape)
+        return fit_least_squares(design, response)
+
+    monkeypatch.setattr(stepgate.stepper, "fit_least_squares", counting)
+    trace = run_stepwise(make_dataset(seed=9), config)
+    assert len(trace.evaluations) > 1
+    assert len(calls) == 1 + len(trace.evaluations)
 
 
 def test_tie_break_prefers_earlier_column():
